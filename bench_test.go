@@ -21,8 +21,8 @@ import (
 
 // The per-table/figure benchmarks run the same harness as cmd/
 // stepbench at the Tiny scale, so `go test -bench=.` regenerates
-// every experiment quickly; use `stepbench -scale full` for the
-// numbers recorded in EXPERIMENTS.md.
+// every experiment quickly; `stepbench -exp all` produces the
+// full-size numbers.
 
 // BenchmarkTableI regenerates Table I (per-subnet accuracy and MAC
 // share for LeNet-3C1L, LeNet-5 and VGG-16).
@@ -226,11 +226,10 @@ func BenchmarkForwardLeNet3C1LNoPool(b *testing.B) {
 // BenchmarkForwardLeNetB1 is the batch-1 forward — the latency a
 // single request pays per decision — reported per worker count: the
 // sub-benchmarks vary GOMAXPROCS, which bounds the tensor arena's
-// intra-op fan-out (im2col row sharding, sub-threshold GEMM row
-// splits, the batch-1 dense column split). On a single-CPU box every
-// worker count degrades to the same serial path; with real cores the
-// spread shows the intra-layer scaling the ROADMAP's batch-1 item
-// targets.
+// intra-op fan-out (im2col row sharding and GEMM row splits of the
+// conv products; the single-row dense product always runs serially).
+// On a single-CPU box every worker count degrades to the same serial
+// path.
 func BenchmarkForwardLeNetB1(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -249,9 +248,9 @@ func BenchmarkForwardLeNetB1(b *testing.B) {
 }
 
 // BenchmarkAnytimeWalkB1 is the engine-level twin: a batch-1 ladder
-// walk per worker count, exercising the cooperative layer-sharding
-// mode (engine workers splitting conv rows, dense units and pooling
-// planes inside each step) when cores allow.
+// walk per worker count. The engine walks a lone image serially at
+// any Workers setting, so the spread across sub-benchmarks is only
+// the arena's kernel fan-out under the raised GOMAXPROCS.
 func BenchmarkAnytimeWalkB1(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

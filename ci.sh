@@ -65,6 +65,12 @@ go test -count=1 -run TestExportedIdentifiersDocumented ./internal/serve
 echo "== go build (purego fallback) =="
 go build -tags purego ./...
 
+echo "== perfbench module =="
+# perfbench/ is a nested module (it reaches the repo through a replace
+# directive), so the root ./... above skips it. Vet and test it here so
+# an API change that breaks the benchmark fails the gate.
+(cd perfbench && GOWORK=off go vet . && GOWORK=off go test -count=1 .)
+
 # One pass per backend; the scalar pass additionally runs with
 # -shuffle=on so test-order dependencies (leaked GOMAXPROCS tweaks,
 # stale package-level thresholds, order-sensitive goroutine counts)
@@ -81,13 +87,15 @@ else
     STEPPINGNET_NOSIMD=1 go test -race -count=1 -shuffle=on ./...
 fi
 
-echo "== intra-layer sharding equivalence (both backends) =="
+echo "== sharding equivalence (both backends) =="
 # The cross-worker-count bitwise gate, run explicitly on both GEMM
-# backends: the sharded paths must produce bit-identical outputs at
-# every worker count regardless of which kernels dispatch selects.
-SHARD_TESTS='TestIntraLayerParallelMatchesSerial|TestRowShardBitwiseInvariance|TestColumnShardBitwiseInvariance|TestParallelIm2ColMatchesSerial|TestBatch1WorkerSetMatchesSerial'
-go test -count=1 -run "$SHARD_TESTS" ./internal/tensor ./internal/infer ./internal/serve
-STEPPINGNET_NOSIMD=1 go test -count=1 -run "$SHARD_TESTS" ./internal/tensor ./internal/infer ./internal/serve
+# backends: the arena's row splits, the sharded im2col gather and the
+# engine's batch-parallel image sharding must produce bit-identical
+# outputs at every worker count regardless of which kernels dispatch
+# selects.
+SHARD_TESTS='TestRowShardBitwiseInvariance|TestParallelIm2ColMatchesSerial|TestBatchParallelMatchesSerial'
+go test -count=1 -run "$SHARD_TESTS" ./internal/tensor ./internal/infer
+STEPPINGNET_NOSIMD=1 go test -count=1 -run "$SHARD_TESTS" ./internal/tensor ./internal/infer
 
 echo "== resume equivalence (both backends) =="
 # The semantic cache's bitwise contract: a walk resumed from exported

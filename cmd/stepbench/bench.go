@@ -116,8 +116,7 @@ func writeBenchBaseline(path string) error {
 	})
 	// Batch-1 latency: the single-image forward a latency-sensitive
 	// deployment pays per decision. The batch-parallel engine cannot
-	// shard it, so this is the number the ROADMAP's intra-layer
-	// parallelism item targets.
+	// shard it; only the arena's conv-kernel fan-out can engage.
 	record(results, "forward_lenet3c1l_b1", 0, func(b *testing.B) {
 		net, _ := newNet()
 		r := tensor.NewRNG(4)
@@ -143,10 +142,9 @@ func writeBenchBaseline(path string) error {
 		}
 	})
 	// The batch-1 ladder walk — the engine-level twin of
-	// forward_lenet3c1l_b1: a lone request climbing all four rungs.
-	// With spare cores this is the cooperative intra-layer sharding
-	// path; on a single-CPU box it degrades to the serial walk. Either
-	// way it must stay at 0 allocs/op.
+	// forward_lenet3c1l_b1: a lone request climbing all four rungs,
+	// which the engine always walks serially. It must stay at
+	// 0 allocs/op.
 	record(results, "anytime_walk_lenet3c1l_b1", 0, func(b *testing.B) {
 		net, _ := newNet()
 		r := tensor.NewRNG(4)

@@ -73,6 +73,13 @@ func TestCacheEntryEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The worker publishes to the cache just after it answers, so the
+	// entry may land a moment after Submit returns.
+	for wait := time.Now().Add(10 * time.Second); time.Now().Before(wait); time.Sleep(time.Millisecond) {
+		if _, ok := srv.CachePeek(key); ok {
+			break
+		}
+	}
 	code, body := get("/cache/entry?key=" + cluster.FormatKey(key))
 	if code != http.StatusOK {
 		t.Fatalf("warm key: got %d (%s), want 200", code, body)

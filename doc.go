@@ -25,13 +25,14 @@
 // (Gemm, GemmTransA, GemmTransB): register-tiled 2×4 micro-kernels
 // that skip all-zero panels of masked weight matrices, fanned out
 // over a persistent, allocation-free worker arena (internal/tensor/
-// parallel.go) — rows for multi-row products, columns for the
-// batch-1 dense shape, plus a sharded im2col gather — with splits
-// aligned so parallel results stay bitwise identical to serial at
-// any worker count (tiny shapes stay serial; see gemmMinParFlops and
-// gemmMinParColFlops). A single GOMAXPROCS-1 helper budget is shared
-// with the inference engine's intra-layer sharding, so stacked
-// parallelism degrades to serial instead of oversubscribing.
+// parallel.go) by output rows, plus a sharded im2col gather — with
+// splits aligned so parallel results stay bitwise identical to serial
+// at any worker count (tiny and single-row shapes stay serial; see
+// gemmMinParFlops). A single GOMAXPROCS-1 helper budget is shared
+// with the inference engine's batch-parallel image sharding, so
+// stacked parallelism degrades to serial instead of oversubscribing.
+// A batch-1 anytime walk always runs serially on one goroutine: its
+// per-layer transitions are cheaper than a cross-core barrier.
 // Convolution is im2col plus one compact matmul per image over a
 // transposed gather of the subnet's active filters, so a small
 // subnet pays only for its own width.

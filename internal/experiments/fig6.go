@@ -114,9 +114,9 @@ func (f *Fig6Result) Render() string {
 }
 
 // WinsAtMatchedMACs counts, over all nets and MAC levels, how often
-// SteppingNet's accuracy is at least each baseline's. Used by tests
-// and EXPERIMENTS.md to state the paper's headline claim
-// quantitatively.
+// SteppingNet's accuracy is at least each baseline's. Tests use it to
+// state the paper's headline claim quantitatively over the Fig. 6
+// points that `stepbench -exp all` prints.
 func (f *Fig6Result) WinsAtMatchedMACs() (wins, comparisons int) {
 	for _, net := range f.Nets {
 		var stepping []baselines.OperatingPoint

@@ -27,21 +27,15 @@ import (
 // allocates nothing at all — serial or sharded (enforced by
 // TestStepSteadyStateAllocs).
 //
-// The same persistent worker set serves two sharding modes, selected
-// per step: batches of two or more images shard by IMAGE (each worker
+// A single-image batch always walks serially on the calling
+// goroutine: a batch-1 rung transition costs tens of microseconds per
+// layer, less than a cross-core barrier would. Batches of two or more
+// images may shard by IMAGE over a persistent worker set: each worker
 // walks its contiguous row range through the whole layer stack —
 // every layer treats the batch dimension independently, so this
-// preserves the incremental-reuse semantics exactly), while a
-// single-image batch shards by LAYER (workers cooperate inside each
-// layer over its nn.IncrementalSharded span — conv spatial rows,
-// dense units, pooling planes — with a barrier per layer). Layer
-// sharding claims its helpers from the global
-// tensor.ClaimParallelHelpers budget, so engines, kernel fan-outs and
-// the serving layer's worker pool share one GOMAXPROCS-1 allowance
-// instead of oversubscribing the cores; with no spare cores the step
-// degrades to the serial walk. Both modes produce outputs BITWISE
-// identical to the serial walk at every worker count
-// (TestIntraLayerParallelMatchesSerial).
+// preserves the incremental-reuse semantics exactly and the output is
+// BITWISE identical to the serial walk
+// (TestBatchParallelMatchesSerial).
 type Engine struct {
 	net   *nn.Network
 	input *tensor.Tensor
@@ -54,8 +48,9 @@ type Engine struct {
 	// tests and demos, not hot paths.
 	Audit bool
 
-	// Workers caps the batch-parallel fan-out; 0 means GOMAXPROCS.
-	// Set 1 to force the serial path.
+	// Workers caps the image fan-out of batches of two or more; 0
+	// means GOMAXPROCS. Set 1 to force the serial path. A batch of
+	// one always walks serially.
 	Workers int
 
 	// StepTimer, when non-nil, observes every successful Step with
@@ -92,20 +87,12 @@ type Engine struct {
 	totalMACs int64
 }
 
-// shardJob tells a shard worker what to compute. Jobs travel by
-// value, so dispatch is allocation-free. In image mode (layer == -1)
-// the worker walks batch rows [b0,b1) through the whole stack to
-// subnet s. In layer mode it computes span indices [b0,b1) of one
-// layer's IncrementalSharded transition into the shared out tensor.
+// shardJob tells a shard worker to walk batch rows [b0,b1) through
+// the whole stack to subnet s. Jobs travel by value, so dispatch is
+// allocation-free.
 type shardJob struct {
 	wi, b0, b1 int
 	sPrev, s   int
-
-	// Layer mode only.
-	layer     int // -1 selects image mode
-	lyr       nn.IncrementalSharded
-	x, cached *tensor.Tensor
-	out       *tensor.Tensor
 }
 
 // NewEngine wraps a network. The network's layers must implement
@@ -168,12 +155,9 @@ func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 	}
 	var stepMACs int64
 	batch := e.input.Dim(0)
-	switch w := e.workers(batch); {
-	case batch == 1 && w > 1:
-		stepMACs = e.stepLayerSharded(s, sPrev, w)
-	case w > 1:
+	if w := e.workers(batch); w > 1 {
 		stepMACs = e.stepParallel(s, sPrev, w)
-	default:
+	} else {
 		stepMACs = e.stepSerial(s, sPrev)
 	}
 	if e.StepTimer != nil {
@@ -196,14 +180,13 @@ func (e *Engine) Step(s int) (*tensor.Tensor, int64, error) {
 }
 
 // workers decides the fan-out for this batch: image sharding is
-// capped at one worker per image, while a batch of one keeps the full
-// worker set — it shards inside layers instead of across images.
+// capped at one worker per image, so a batch of one walks serially.
 func (e *Engine) workers(batch int) int {
 	w := e.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if batch > 1 && w > batch {
+	if w > batch {
 		w = batch
 	}
 	return w
@@ -267,9 +250,9 @@ func (e *Engine) stepParallel(s, sPrev, w int) int64 {
 
 	e.wg.Add(w - 1)
 	for wi := 1; wi < w; wi++ {
-		e.jobs <- shardJob{wi: wi, b0: wi * batch / w, b1: (wi + 1) * batch / w, sPrev: sPrev, s: s, layer: -1}
+		e.jobs <- shardJob{wi: wi, b0: wi * batch / w, b1: (wi + 1) * batch / w, sPrev: sPrev, s: s}
 	}
-	e.runShard(shardJob{wi: 0, b0: 0, b1: batch / w, sPrev: sPrev, s: s, layer: -1})
+	e.runShard(shardJob{wi: 0, b0: 0, b1: batch / w, sPrev: sPrev, s: s})
 	e.wg.Wait()
 
 	var stepMACs int64
@@ -313,100 +296,8 @@ func (e *Engine) runShard(j shardJob) {
 	}
 }
 
-// stepLayerSharded walks a single-image batch with the persistent
-// workers cooperating INSIDE each layer: layers implementing
-// nn.IncrementalSharded have their span split into grain-aligned
-// contiguous ranges (one per worker, a barrier per layer), everything
-// else runs serially on the calling goroutine. Helpers are claimed
-// from the global tensor parallelism budget for the duration of the
-// step; an empty budget degrades to the plain serial walk. Outputs
-// are bitwise identical to the serial walk — the grain alignment
-// guarantees every element is computed by exactly one worker through
-// exactly the code path a serial run would take.
-func (e *Engine) stepLayerSharded(s, sPrev, w int) int64 {
-	// The claim is held for the whole step, including layers that take
-	// the serial path below: releasing between layers would let a
-	// concurrent claimant steal the workers mid-step, and the layers
-	// that stay serial (activations, copy-only transitions, the tiny
-	// head) sit below the kernel fan-out thresholds anyway, so no
-	// arena parallelism is forfeited by the idle claim.
-	claimed := tensor.ClaimParallelHelpers(w - 1)
-	if claimed == 0 {
-		return e.stepSerial(s, sPrev)
-	}
-	defer tensor.ReleaseParallelHelpers(claimed)
-	w = 1 + claimed
-	layers := e.net.Layers()
-	e.ensureShardState(w, len(layers))
-
-	var stepMACs int64
-	x := e.input
-	for i, l := range layers {
-		sl, ok := l.(nn.IncrementalSharded)
-		if ok {
-			// RuleShared layers recompute from scratch per subnet; the
-			// span contract is incremental-only, so they stay serial
-			// (in practice the tiny classifier head).
-			if m, isMasked := l.(nn.Masked); isMasked && m.Rule() == nn.RuleShared {
-				ok = false
-			}
-		}
-		var span, grain int
-		if ok {
-			span, grain = sl.IncrementalSpan(x, sPrev, s)
-		}
-		wEff := w
-		if span > 0 {
-			if blocks := (span + grain - 1) / grain; wEff > blocks {
-				wEff = blocks
-			}
-		}
-		if span == 0 || wEff < 2 {
-			out, macs := stepLayer(l, x, e.cache[i], sPrev, s, e.pool, &e.sctx)
-			e.pool.Put(e.cache[i])
-			e.cache[i] = out
-			x = out
-			stepMACs += macs
-			continue
-		}
-		out := sl.NewIncrementalOut(x, e.pool)
-		e.wg.Add(wEff - 1)
-		for wi := 1; wi < wEff; wi++ {
-			i0, i1 := spanRange(span, grain, wi, wEff)
-			e.jobs <- shardJob{
-				wi: wi, b0: i0, b1: i1, sPrev: sPrev, s: s,
-				layer: i, lyr: sl, x: x, cached: e.cache[i], out: out,
-			}
-		}
-		i0, i1 := spanRange(span, grain, 0, wEff)
-		e.shardMACs[0][i] = sl.ForwardIncrementalSpan(x, e.cache[i], out, sPrev, s, i0, i1, e.wpools[0])
-		e.wg.Wait()
-		for wi := 0; wi < wEff; wi++ {
-			stepMACs += e.shardMACs[wi][i]
-		}
-		e.pool.Put(e.cache[i])
-		e.cache[i] = out
-		x = out
-	}
-	return stepMACs
-}
-
-// spanRange splits [0,span) into w contiguous grain-aligned ranges
-// and returns the wi-th. Alignment — not the partition itself — is
-// what the bitwise contract rides on, so near-equal block counts per
-// worker are merely a load-balancing choice.
-func spanRange(span, grain, wi, w int) (int, int) {
-	blocks := (span + grain - 1) / grain
-	i0 := wi * blocks / w * grain
-	i1 := (wi + 1) * blocks / w * grain
-	if wi == w-1 || i1 > span {
-		i1 = span
-	}
-	return i0, i1
-}
-
 // shardWorker is the body of one persistent worker goroutine: drain
-// jobs until Close, dispatching on the job's sharding mode. The
+// jobs until Close, walking each job's shard. The
 // channel travels as a parameter, not via e.jobs: Close nils the
 // field, and a worker that had not yet been scheduled when Close ran
 // (possible whenever a step dispatches to fewer workers than were
@@ -415,12 +306,7 @@ func spanRange(span, grain, wi, w int) (int, int) {
 func (e *Engine) shardWorker(jobs chan shardJob) {
 	defer e.workerWG.Done()
 	for job := range jobs {
-		if job.layer >= 0 {
-			e.shardMACs[job.wi][job.layer] = job.lyr.ForwardIncrementalSpan(
-				job.x, job.cached, job.out, job.sPrev, job.s, job.b0, job.b1, e.wpools[job.wi])
-		} else {
-			e.runShard(job)
-		}
+		e.runShard(job)
 		e.wg.Done()
 	}
 }
@@ -459,8 +345,8 @@ func (e *Engine) ensureShardState(w, nLayers int) {
 // Close releases the engine's persistent shard workers and returns
 // once they have all exited (so goroutine-leak checks observe a clean
 // count deterministically). It is only needed for engines that used a
-// sharded path (serial-only engines spawn none) and the engine
-// remains usable afterwards — the next sharded Step simply respawns
+// batch-parallel path (serial-only engines spawn none) and the engine
+// remains usable afterwards — the next batch-parallel Step respawns
 // workers.
 func (e *Engine) Close() {
 	if e.jobs != nil {

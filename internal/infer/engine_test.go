@@ -263,14 +263,41 @@ func TestBatchParallelOddShards(t *testing.T) {
 	}
 }
 
+// TestLayerShardWorkersReleased pins the lifecycle of the
+// batch-parallel shard workers: Close returns only after every
+// persistent worker has exited, so repeated create/shard/Close cycles
+// hold the process goroutine count steady — no leak per served batch.
+func TestLayerShardWorkersReleased(t *testing.T) {
+	m := intraGridModel(81, 1, 8, 1.2)
+	x := tensor.New(4, 1, 8, 8)
+	x.FillNormal(tensor.NewRNG(82), 0, 1)
+
+	cycle := func() {
+		e := NewEngine(m.Net)
+		e.Workers = 4
+		e.Reset(x)
+		for s := 1; s <= 3; s++ {
+			e.MustStep(s)
+		}
+		e.Close()
+	}
+	cycle() // first cycle settles one-time goroutines (tensor arena workers)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("shard workers leaked across Close cycles: %d goroutines before, %d after", before, after)
+	}
+}
+
 // TestStepSteadyStateAllocs pins the zero-allocation claim for the
 // anytime walk: once the pools and the engine-owned shard state are
 // warm, stepping allocates nothing at all — no activation buffers,
-// no contexts, no shard bookkeeping — on the serial, the
-// batch-parallel (image-sharding) AND the batch-1 intra-layer
-// (layer-sharding) paths. Any allocation here is a regression (a
-// dropped Put, an escaping context, per-step shard slices, a
-// zero-width pool Get).
+// no contexts, no shard bookkeeping — on both the serial and the
+// batch-parallel (image-sharding) paths. Any allocation here is a
+// regression (a dropped Put, an escaping context, per-step shard
+// slices, a zero-width pool Get).
 func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -279,21 +306,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}{
 		{"serial", 1, 8},
 		{"parallel", 4, 8},
-		{"intra", 4, 1}, // batch-1: cooperative layer sharding
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.batch == 1 {
-				// Force the layer-sharded path even on a single-CPU box:
-				// helpers come from the GOMAXPROCS-1 budget, and the tiny
-				// test model sits below the default shard-worthiness bar.
-				oldProcs := runtime.GOMAXPROCS(4)
-				oldMin := nn.ShardMinOps
-				nn.ShardMinOps = 0
-				defer func() {
-					runtime.GOMAXPROCS(oldProcs)
-					nn.ShardMinOps = oldMin
-				}()
-			}
 			m := buildModel(41)
 			x := tensor.New(tc.batch, 1, 8, 8)
 			x.FillNormal(tensor.NewRNG(42), 0, 1)

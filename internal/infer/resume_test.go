@@ -6,12 +6,33 @@ import (
 	"runtime"
 	"testing"
 
+	"steppingnet/internal/models"
+	"steppingnet/internal/nn"
 	"steppingnet/internal/tensor"
 )
 
+// intraGridModel builds one model of the odd-shape property grid:
+// input sizes that do and do not survive the pooling stages, channel
+// counts and expansions that produce odd filter counts (unroll
+// remainders in every kernel), and per-seed random assignments.
+func intraGridModel(seed uint64, inC, inH int, expansion float64) *models.Model {
+	m := models.LeNet3C1L(models.Options{
+		Classes: 5, InC: inC, InH: inH, InW: inH, Expansion: expansion,
+		Subnets: 3, Rule: nn.RuleIncremental, Seed: seed,
+	})
+	r := tensor.NewRNG(seed ^ 0x17A7)
+	for _, mv := range m.Movable {
+		a := mv.OutAssignment()
+		for i := 0; i < a.Units(); i++ {
+			a.SetID(i, 1+r.Intn(3))
+		}
+		a.SetID(0, 1)
+	}
+	return m
+}
+
 // TestResumeMatchesColdWalk is the cross-request resume-equivalence
-// gate, the companion of TestIntraLayerParallelMatchesSerial: over the
-// same property grid of odd model shapes, exporting the ladder state
+// gate: over a property grid of odd model shapes, exporting the ladder state
 // at rung k, importing it into a FRESH engine and climbing k+1..n must
 // produce logits BITWISE identical to a cold walk to each rung — at
 // every worker count in {1, 2, 4, GOMAXPROCS}, on whichever GEMM
@@ -20,7 +41,6 @@ import (
 // new MACs (TotalMACs restarts at the import), and each climbed step
 // executes exactly the MACs the cold walk's same step executed.
 func TestResumeMatchesColdWalk(t *testing.T) {
-	forceLayerSharding(t, 4)
 	grid := []struct {
 		inC, inH  int
 		expansion float64

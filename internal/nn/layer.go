@@ -88,52 +88,6 @@ type Incremental interface {
 	ForwardIncremental(x, cached *tensor.Tensor, sPrev, s int, pool *tensor.Pool) (out *tensor.Tensor, macs int64)
 }
 
-// ShardMinOps is the approximate scalar-operation count below which
-// an IncrementalSharded layer reports an empty span and runs its
-// plain serial ForwardIncremental instead: below it the per-layer
-// fan-out barrier costs more than the work it spreads. It is a
-// variable so the cross-worker-count equivalence and allocation tests
-// can force the sharded paths on arbitrarily small models.
-var ShardMinOps int64 = 1 << 14
-
-// IncrementalSharded is an Incremental layer whose single-batch
-// transition can additionally be computed cooperatively by several
-// workers — the batch-1 intra-layer parallelism the serving path
-// needs, where image sharding has nothing to split. The span is a
-// layer-specific index space (conv: im2col rows, i.e. output spatial
-// positions; dense: fresh then reused output units; pooling: channel
-// planes); disjoint index ranges read shared immutable state and
-// write disjoint regions of one shared output tensor.
-//
-// Contract: for any partition of [0,span) into ranges aligned to the
-// reported grain, the union of ForwardIncrementalSpan calls produces
-// an output BITWISE identical to ForwardIncremental, and the span MAC
-// counts sum to its MAC count. The grain encodes the kernels'
-// alignment needs (row pairs for the ikj kernels, four-column dot
-// tiles for A·Bᵀ), which is what makes the bitwise guarantee hold on
-// both GEMM backends at every worker count. Span methods must touch
-// no layer state, so any number of workers may run them concurrently,
-// each with its own pool.
-type IncrementalSharded interface {
-	Incremental
-
-	// IncrementalSpan reports the shardable span length and the
-	// alignment grain for the transition sPrev→s on input x. A zero
-	// span means the transition is too small to shard profitably (see
-	// ShardMinOps) and the caller should use ForwardIncremental.
-	IncrementalSpan(x *tensor.Tensor, sPrev, s int) (span, grain int)
-
-	// NewIncrementalOut draws the shared output tensor for one
-	// sharded transition from pool (the coordinating caller's pool —
-	// the caller owns the tensor; span workers only write into it).
-	NewIncrementalOut(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor
-
-	// ForwardIncrementalSpan computes span indices [i0,i1) of the
-	// transition into out, drawing temporaries from pool, and returns
-	// the per-image MACs this range executed.
-	ForwardIncrementalSpan(x, cached, out *tensor.Tensor, sPrev, s, i0, i1 int, pool *tensor.Pool) int64
-}
-
 // maskedEffectiveID returns the effective group id of flattened input
 // element i under a repeat factor.
 func maskedEffectiveID(a *subnet.Assignment, repeat, i int) int {

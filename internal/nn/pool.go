@@ -63,16 +63,9 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, ctx *Context) *tensor.Tensor {
 // poolInto runs the pooling loop from x into out, recording argmax
 // indices when recordArgmax is set (training backward needs them).
 func (m *MaxPool2D) poolInto(x, out *tensor.Tensor, recordArgmax bool) {
-	m.poolRange(x, out, recordArgmax, 0, x.Dim(0)*m.c)
-}
-
-// poolRange pools channel planes [bc0,bc1) of the flattened
-// (batch·channel) plane sequence — the shardable core of poolInto;
-// disjoint plane ranges write disjoint slices of out (and argmax).
-func (m *MaxPool2D) poolRange(x, out *tensor.Tensor, recordArgmax bool, bc0, bc1 int) {
 	oh, ow := m.OutH(), m.OutW()
 	xd, od := x.Data(), out.Data()
-	for bc := bc0; bc < bc1; bc++ {
+	for bc, planes := 0, x.Dim(0)*m.c; bc < planes; bc++ {
 		inBase := bc * m.h * m.w
 		outBase := bc * oh * ow
 		for oy := 0; oy < oh; oy++ {
@@ -116,33 +109,7 @@ func (m *MaxPool2D) ForwardIncremental(x, _ *tensor.Tensor, _, _ int, pool *tens
 	return out, 0
 }
 
-// IncrementalSpan implements IncrementalSharded: like AvgPool2D, the
-// span is the flattened (batch·channel) plane sequence — per-channel
-// pooling makes any partition bitwise-identical to the serial loop.
-func (m *MaxPool2D) IncrementalSpan(x *tensor.Tensor, _, _ int) (span, grain int) {
-	planes := x.Dim(0) * m.c
-	if int64(planes)*int64(m.h)*int64(m.w) < ShardMinOps {
-		return 0, 1
-	}
-	return planes, 1
-}
-
-// NewIncrementalOut implements IncrementalSharded (uninitialized: the
-// spans jointly write every element).
-func (m *MaxPool2D) NewIncrementalOut(x *tensor.Tensor, pool *tensor.Pool) *tensor.Tensor {
-	return pool.GetUninit(x.Dim(0), m.c, m.OutH(), m.OutW())
-}
-
-// ForwardIncrementalSpan implements IncrementalSharded.
-func (m *MaxPool2D) ForwardIncrementalSpan(x, _, out *tensor.Tensor, _, _, i0, i1 int, _ *tensor.Pool) int64 {
-	m.poolRange(x, out, false, i0, i1)
-	return 0
-}
-
-var (
-	_ Incremental        = (*MaxPool2D)(nil)
-	_ IncrementalSharded = (*MaxPool2D)(nil)
-)
+var _ Incremental = (*MaxPool2D)(nil)
 
 // Flatten reshapes [B, C, H, W] to [B, C·H·W]. It exists as a layer
 // so the network container can run conv stacks and dense heads in one

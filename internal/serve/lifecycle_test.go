@@ -236,8 +236,13 @@ func TestWarmInstallServesTransferredEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The worker publishes to the cache just after it answers, so the
+	// entry may land a moment after Submit returns.
 	k := cache.KeyOf(in)
 	ent, ok := a.CachePeek(k)
+	for wait := time.Now().Add(10 * time.Second); !ok && time.Now().Before(wait); ent, ok = a.CachePeek(k) {
+		time.Sleep(time.Millisecond)
+	}
 	if !ok || ent.Subnet != first.Subnet || ent.State == nil {
 		t.Fatalf("CachePeek after a full walk: ok=%v ent=%+v", ok, ent)
 	}

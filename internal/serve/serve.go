@@ -61,18 +61,6 @@ type Config struct {
 	// Workers sets the engine-pool size (one infer.Engine per
 	// worker). 0 means GOMAXPROCS.
 	Workers int
-	// EngineWorkers is the per-engine worker count a batch-1 pop may
-	// fan out over: when the batch former hands a worker a single
-	// request, that worker's engine shards INSIDE each layer
-	// (infer.Engine's cooperative layer sharding) instead of leaving
-	// every other core idle — the intra-layer fan-out claims helpers
-	// from the global parallelism budget, so it engages exactly when
-	// cores are spare and degrades to the serial walk under full
-	// load. Batches of two or more requests always run single-worker
-	// engines (pool-level concurrency already covers them). 0 means
-	// Workers — the batch former hands a lone request the whole
-	// worker set.
-	EngineWorkers int
 	// QueueDepth bounds the admission queue; a class that has filled
 	// its share of the queue rejects with ErrOverloaded. 0 means 64.
 	QueueDepth int
@@ -210,12 +198,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.EngineWorkers < 0 {
-		return c, fmt.Errorf("serve: negative EngineWorkers %d", c.EngineWorkers)
-	}
-	if c.EngineWorkers == 0 {
-		c.EngineWorkers = c.Workers
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -959,11 +941,9 @@ func (s *Server) former() {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	e := infer.NewEngine(s.cfg.Model.Net)
-	// Multi-request batches rely on pool-level concurrency — a nested
-	// batch-parallel fan-out per engine would oversubscribe the CPUs —
-	// so engines run single-worker by default; runBatch hands a
-	// batch-1 pop the EngineWorkers set for budget-gated intra-layer
-	// sharding instead.
+	// Concurrency comes from the worker pool — a nested batch-parallel
+	// fan-out per engine would oversubscribe the CPUs — so engines run
+	// single-worker, and a lone request walks serially.
 	e.Workers = 1
 	if s.cfg.RefreshInterval > 0 {
 		e.StepTimer = s.observeStep
@@ -1052,14 +1032,6 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 			batchCap = p.ladderCap
 		}
 		copy(x.Data()[i*s.imgLen:(i+1)*s.imgLen], p.input)
-	}
-	// A lone request gets the whole worker set: the engine shards
-	// inside each layer (claiming spare cores from the global budget)
-	// instead of walking single-threaded while the pool sits idle.
-	if b == 1 {
-		e.Workers = s.cfg.EngineWorkers
-	} else {
-		e.Workers = 1
 	}
 	var out *tensor.Tensor
 	cur := 0

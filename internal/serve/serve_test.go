@@ -169,63 +169,6 @@ func TestAnswersMatchEngine(t *testing.T) {
 	}
 }
 
-// TestBatch1WorkerSetMatchesSerial pins the EngineWorkers plumbing:
-// a batch-1 pop handed the whole worker set (the engine's cooperative
-// intra-layer sharding, forced on via GOMAXPROCS and a zeroed
-// shard-worthiness bar) must answer with logits BITWISE identical to
-// the single-worker serial walk — the serving layer must not be able
-// to tell how many workers computed an answer.
-func TestBatch1WorkerSetMatchesSerial(t *testing.T) {
-	oldProcs := runtime.GOMAXPROCS(4)
-	oldMin := nn.ShardMinOps
-	nn.ShardMinOps = 0
-	defer func() {
-		runtime.GOMAXPROCS(oldProcs)
-		nn.ShardMinOps = oldMin
-	}()
-
-	m := buildModel(3)
-	srv, err := New(Config{
-		Model: m, Subnets: 3, Workers: 1, EngineWorkers: 4,
-		Calibration: instantSteps(m, 3), DefaultDeadline: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.cfg.EngineWorkers != 4 {
-		t.Fatalf("EngineWorkers = %d after defaults, want 4", srv.cfg.EngineWorkers)
-	}
-
-	in := inputVec(4, srv.imgLen)
-	res, err := srv.Submit(Request{Input: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Subnet != 3 {
-		t.Fatalf("generous deadline answered from subnet %d, want 3", res.Subnet)
-	}
-
-	e := infer.NewEngine(m.Net)
-	e.Workers = 1
-	defer e.Close()
-	x := tensor.New(1, m.InC, m.InH, m.InW)
-	copy(x.Data(), in)
-	e.Reset(x)
-	var want *tensor.Tensor
-	for s := 1; s <= 3; s++ {
-		want, _ = e.MustStep(s)
-	}
-	for j, v := range res.Logits {
-		if v != want.Data()[j] {
-			t.Fatalf("logit %d = %g from the worker-set walk, serial walk says %g", j, v, want.Data()[j])
-		}
-	}
-	if res.MACs != e.TotalMACs() {
-		t.Fatalf("request charged %d MACs, serial walk spent %d", res.MACs, e.TotalMACs())
-	}
-}
-
 // TestDeadlineNarrowing pins the scheduler's deadline awareness with a
 // fabricated calibration: when the model says steps beyond the first
 // cost an hour, any realistic deadline must be answered from subnet 1

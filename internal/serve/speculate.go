@@ -113,7 +113,6 @@ func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p 
 		bufs[1] = x
 	}
 	copy(x.Data(), p.input)
-	e.Workers = s.cfg.EngineWorkers
 	if err := e.ImportState(x, ent.State); err != nil {
 		return // structurally stale state: let the LRU age it out
 	}

@@ -64,10 +64,9 @@ func (g ConvGeom) checkIm2Col(img, col []float64, r0, r1 int) {
 // im2col matrix is output pixel (p/OutW, p%OutW) — into col, whose
 // first row corresponds to position r0 (len (r1-r0)·ColCols()). It is
 // the shardable core of Im2Col: disjoint ranges touch disjoint parts
-// of col, so cooperating workers (the arena's ParallelIm2Col, the
-// engine's intra-layer shards) gather one image concurrently. No
-// bounds validation; exported callers go through Im2Col or
-// ParallelIm2Col, and the engine shard path validates once per layer.
+// of col, so the arena's ParallelIm2Col workers gather one image
+// concurrently. No bounds validation; exported callers go through
+// Im2Col or ParallelIm2Col, which validate once per call.
 func (g ConvGeom) Im2ColRange(img, col []float64, r0, r1 int) {
 	outW, k := g.OutW(), g.K
 	cols := g.ColCols()

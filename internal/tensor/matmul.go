@@ -132,20 +132,12 @@ func GemmTransA(c, a, b []float64, k, m, n int, accumulate bool) {
 
 // GemmTransB computes C (+)= A·Bᵀ on raw slices: A is m×k, B is n×k,
 // C is m×n. Multi-row products past gemmMinParFlops split by output
-// rows; the single-row shape (a batch-1 dense layer, where row
-// splitting can never help) splits by output columns instead, at the
-// lower gemmMinParColFlops threshold — each worker computes whole
-// four-column dot-product tiles, so this split too is bitwise
-// identical to the serial kernel at every worker count.
+// rows; a single-row product (a batch-1 dense layer) runs serially.
 func GemmTransB(c, a, b []float64, m, k, n int, accumulate bool) {
 	if m == 0 || n == 0 {
 		return // empty product; nothing to write
 	}
-	if m > 1 {
-		if m*k*n >= gemmMinParFlops && gemmRowsParallel(arenaGemmTransBRows, c, a, b, m, k, n, accumulate) {
-			return
-		}
-	} else if k*n >= gemmMinParColFlops && gemmColsParallel(c, a, b, k, n, accumulate) {
+	if m > 1 && m*k*n >= gemmMinParFlops && gemmRowsParallel(arenaGemmTransBRows, c, a, b, m, k, n, accumulate) {
 		return
 	}
 	gemmTransBRowsImpl(c, a, b, 0, m, k, n, accumulate)

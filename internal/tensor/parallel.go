@@ -10,25 +10,20 @@ import (
 // allocation-free worker arena that the GEMM kernels and the im2col
 // gather fan out over, plus the global helper budget that keeps every
 // layer of parallelism in the repo (kernel fan-out, the inference
-// engine's shard workers) from oversubscribing the cores together.
+// engine's batch-parallel workers) from oversubscribing the cores
+// together.
 //
-// Two split axes exist, each with its own engagement threshold:
+// Matmuls split along one axis, output rows: rows are divided into
+// blocks that workers steal off a shared atomic counter. Blocks are
+// always aligned to an even row boundary, so the kernels'
+// two-rows-per-pass structure pairs exactly the same rows as a serial
+// run — which makes the parallel result BITWISE identical to the
+// serial one at every worker count, on both GEMM backends. A
+// single-row product (a batch-1 dense layer) has no pair to split and
+// always runs serially. The im2col gather splits by col-matrix rows.
 //
-//   - row split: output rows are divided into blocks that workers
-//     steal off a shared atomic counter. Blocks are always aligned to
-//     an even row boundary, so the kernels' two-rows-per-pass
-//     structure pairs exactly the same rows as a serial run — which
-//     makes the parallel result BITWISE identical to the serial one
-//     at every worker count, on both GEMM backends.
-//   - column split (A·Bᵀ with a single output row, the batch-1 dense
-//     shape): output columns are divided into blocks aligned to the
-//     kernels' four-column dot-product tiles, so every element goes
-//     through the same tile-vs-tail code path as a serial run —
-//     again bitwise identical at every worker count.
-//
-// The bitwise contract is pinned by TestRowShardBitwiseInvariance /
-// TestColumnShardBitwiseInvariance here and by
-// TestIntraLayerParallelMatchesSerial at the engine level.
+// The bitwise contract is pinned by TestRowShardBitwiseInvariance and
+// TestParallelIm2ColMatchesSerial.
 
 // gemmMinParFlops is the multiply-add count (m·k·n) below which a
 // row-splittable matmul stays on the current goroutine. The persistent
@@ -37,12 +32,6 @@ import (
 // serve-critical LeNet conv shapes (≈70–250 kflop) now fan out. It is
 // a variable so the equivalence tests can force both paths.
 var gemmMinParFlops = 1 << 16
-
-// gemmMinParColFlops is the column-split threshold (k·n for the
-// single-row A·Bᵀ product). Column blocks carry no redundant work at
-// all — each worker computes whole dot products — so the bar is lower
-// than the row threshold. A variable for the same testing reason.
-var gemmMinParColFlops = 1 << 13
 
 // im2colMinParCells is the col-matrix volume (rows × cols) below
 // which the im2col gather stays serial: the gather is a pure copy, so
@@ -56,18 +45,14 @@ var im2colMinParCells = 1 << 12
 // kernels' row pairing (and therefore bitwise equality with serial).
 const rowsPerTask = 8
 
-// colsPerTask is the column-split granularity: one four-wide
-// dot-product tile per block, the kernels' natural unit.
-const colsPerTask = 4
-
 // im2colRowsPerTask is the gather granularity (no alignment
 // requirement — the gather is elementwise — but kept a multiple of
 // two for symmetry with the row split that consumes the matrix).
 const im2colRowsPerTask = 8
 
 // helperCount tracks busy parallel helpers across ALL concurrent
-// users — kernel fan-outs here and the inference engine's intra-layer
-// shard workers (via ClaimParallelHelpers). Capping the total at
+// users — kernel fan-outs here and the inference engine's
+// batch-parallel shard workers (via ClaimParallelHelpers). Capping the total at
 // GOMAXPROCS-1 means a kernel call made from inside an
 // already-parallel caller finds the budget spent and simply runs
 // serially on its own goroutine instead of oversubscribing the cores.
@@ -76,8 +61,8 @@ var helperCount atomic.Int64
 // ClaimParallelHelpers claims up to max helper slots from the global
 // GOMAXPROCS-1 parallelism budget and returns how many were granted
 // (possibly zero). Callers that fan work out across their own worker
-// goroutines — the inference engine's cooperative layer sharding —
-// claim before dispatching and release when the fan-in completes, so
+// goroutines — the inference engine's batch-parallel walk — claim
+// before dispatching and release when the fan-in completes, so
 // kernel-level and engine-level parallelism share one budget instead
 // of multiplying.
 func ClaimParallelHelpers(max int) int {
@@ -115,12 +100,11 @@ const (
 	arenaGemmRows arenaKind = iota
 	arenaGemmTransARows
 	arenaGemmTransBRows
-	arenaGemmTransBCols
 	arenaIm2Col
 )
 
 // arenaJob describes one fanned-out operation. span is the stealable
-// index space (output rows, output columns, or im2col rows) and grain
+// index space (output rows or im2col rows) and grain
 // the block size; all other fields are operands for the kind.
 type arenaJob struct {
 	kind    arenaKind
@@ -203,11 +187,6 @@ func runArenaSpan(j *arenaJob, i0, i1 int) {
 		gemmTransARowsImpl(j.c, j.a, j.b, i0, i1, j.m, j.k, j.n, j.acc)
 	case arenaGemmTransBRows:
 		gemmTransBRowsImpl(j.c, j.a, j.b, i0, i1, j.k, j.n, j.acc)
-	case arenaGemmTransBCols:
-		// One output row: columns [i0,i1) of C are rows [i0,i1) of B,
-		// and the sub-product is contiguous in both — the whole reason
-		// the column split restricts itself to m == 1.
-		gemmTransBRowsImpl(j.c[i0:i1], j.a, j.b[i0*j.k:i1*j.k], 0, 1, j.k, i1-i0, j.acc)
 	case arenaIm2Col:
 		j.geom.Im2ColRange(j.img, j.c[i0*j.geom.ColCols():i1*j.geom.ColCols()], i0, i1)
 	}
@@ -270,15 +249,6 @@ func gemmRowsParallel(kind arenaKind, c, a, b []float64, m, k, n int, accumulate
 	return tryArena(arenaJob{
 		kind: kind, c: c, a: a, b: b, m: m, k: k, n: n, acc: accumulate,
 		span: m, grain: rowSplitGrain(m),
-	})
-}
-
-// gemmColsParallel fans the columns of a single-row A·Bᵀ product out
-// over the arena; false means the caller must run serially.
-func gemmColsParallel(c, a, b []float64, k, n int, accumulate bool) bool {
-	return tryArena(arenaJob{
-		kind: arenaGemmTransBCols, c: c, a: a, b: b, m: 1, k: k, n: n, acc: accumulate,
-		span: n, grain: colsPerTask,
 	})
 }
 
