@@ -107,6 +107,15 @@ RESUME_TESTS='TestResumeMatchesColdWalk|TestExportRowFromBatchedWalk|TestCachedR
 go test -count=1 -run "$RESUME_TESTS" ./internal/infer ./internal/serve
 STEPPINGNET_NOSIMD=1 go test -count=1 -run "$RESUME_TESTS" ./internal/infer ./internal/serve
 
+echo "== cache publish races (both backends) =="
+# A worker answers before it publishes the walk to its cache, so a
+# test that submits and then reads the cache must wait for the entry.
+# Twenty repeats of the tests that do so turn a missed wait into a
+# gate failure instead of a rare tier-1 flake.
+PUBLISH_TESTS='TestWarmingTransfersEntryEndToEnd|TestCacheEvictionBoundsLiveSet|TestCacheHitServesStoredLogits'
+go test -count=20 -run "$PUBLISH_TESTS" ./internal/cluster ./internal/serve
+STEPPINGNET_NOSIMD=1 go test -count=20 -run "$PUBLISH_TESTS" ./internal/cluster ./internal/serve
+
 echo "== fuzz smoke =="
 # Ten seconds per fuzz target on top of the committed seed corpora:
 # enough to shake out regressions in the hardened surfaces (the

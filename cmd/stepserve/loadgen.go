@@ -682,10 +682,10 @@ func printClassProtection(snap serve.Snapshot) {
 		if snap.Served > 0 {
 			reuse = float64(snap.CacheHits+snap.CacheResumes) / float64(snap.Served)
 		}
-		fmt.Printf("semantic cache: %d hits, %d resumes (%.1f%% of answers), %d early exits; %d entries / %d KiB live, %d evictions (%d expired, %d invalidated), gen %d\n",
+		fmt.Printf("semantic cache: %d hits, %d resumes (%.1f%% of answers), %d early exits; %d entries / %d KiB live, %d evictions (%d expired, %d invalidated), %d refused, gen %d\n",
 			snap.CacheHits, snap.CacheResumes, 100*reuse, snap.EarlyExits,
 			snap.CacheEntries, snap.CacheBytes>>10, snap.CacheEvictions,
-			snap.CacheExpired, snap.CacheInvalidated, snap.CacheGeneration)
+			snap.CacheExpired, snap.CacheInvalidated, snap.CacheRefused, snap.CacheGeneration)
 		if snap.Speculated > 0 || snap.CacheWarmed > 0 {
 			fmt.Printf("cache lifecycle: %d speculative pre-climbs (%d kMAC idle-window work), %d entries warmed in from peers\n",
 				snap.Speculated, snap.SpeculativeMACs/1e3, snap.CacheWarmed)

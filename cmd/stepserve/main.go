@@ -143,7 +143,7 @@ func main() {
 	refresh := flag.Duration("refresh", 2*time.Second, "calibration refresh interval (0 trusts startup calibration forever)")
 	sloSpec := flag.String("slo", "", "per-class SLOs arming the adaptive overload governor, like 1:2ms:0.99 — class:p99target[:min-hit-rate[:min-subnet]] (empty disables the governor)")
 	control := flag.Duration("control", 0, "overload governor tick interval (0 = 100ms when -slo is set)")
-	cacheEntries := flag.Int("cache", 0, "semantic result cache capacity in entries (0 disables; repeated inputs are answered from — or resumed off — cached ladder state)")
+	cacheEntries := flag.Int("cache", 0, "semantic result cache capacity in entries (0 disables; repeated inputs are answered from — or resumed off — cached ladder state; once full, an input is stored on its second walk)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "semantic cache memory bound in bytes (0 = 64MiB default when -cache is set)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "semantic cache entry time-to-live (0 = no age bound; entries still invalidate on calibration refresh)")
 	speculate := flag.Bool("speculate", false, "pre-climb the hottest sub-top cached walks during idle worker windows (requires -cache; speculative MACs are metered separately)")

@@ -69,6 +69,18 @@ func newWarmServer(t *testing.T, m *models.Model) *serve.Server {
 	return srv
 }
 
+// awaitCached waits up to 2s for srv to hold a live entry for k. A
+// replica's worker publishes a walk to its cache just after it
+// answers, so Submit can return before the entry exists; callers
+// assert on the cache after this wait, exactly as before it.
+func awaitCached(srv *serve.Server, k cache.Key) {
+	for wait := time.Now().Add(2 * time.Second); time.Now().Before(wait); time.Sleep(time.Millisecond) {
+		if _, ok := srv.CachePeek(k); ok {
+			return
+		}
+	}
+}
+
 // TestCacheEntryWireKey pins the key's wire encoding: cache keys are
 // full-range 64-bit hashes, and values above 2^53 do not survive a
 // trip through a JSON number — the hex-string form must round-trip
@@ -204,6 +216,7 @@ func TestWarmingTransfersEntryEndToEnd(t *testing.T) {
 		t.Fatalf("cold walk did not land on the key's HRW winner (winner served %d)", got)
 	}
 
+	awaitCached(servers[winner], key)
 	ro.noteSpill(uint64(key), ro.replicas[winner], ro.replicas[target])
 	if got := ro.warmOnce(); got != 1 {
 		t.Fatalf("warmOnce installed %d entries, want 1", got)
@@ -263,6 +276,7 @@ func TestWarmBudgetBoundsPass(t *testing.T) {
 		if _, err := srcB.Submit(context.Background(), serve.Request{Input: in, Deadline: time.Hour}); err != nil {
 			t.Fatal(err)
 		}
+		awaitCached(src, cache.KeyOf(in))
 	}
 	w, err := srcB.FetchCacheEntry(context.Background(), cache.KeyOf(in1))
 	if err != nil {

@@ -12,9 +12,19 @@
 //
 // Entries are immutable after Put: readers share the returned pointer
 // without copying, and writers publish strictly wider walks by
-// inserting replacement entries. Eviction is LRU under two
-// simultaneous bounds (entry count and total bytes), so cached engine
-// states — the heavy part — cannot grow without limit.
+// inserting replacement entries. Eviction is LRU within the admitted
+// set, under two simultaneous bounds (entry count and total bytes),
+// so cached engine states — the heavy part — cannot grow without
+// limit.
+//
+// Admission is scan-resistant (Admit, after TinyLFU's doorkeeper):
+// while the cache holds fewer than MaxEntries entries every offer is
+// admitted, but once it is full a key with no live entry is
+// admitted only on its second offer. The first offer is refused and
+// the key remembered among the last MaxEntries refused keys (FIFO), so
+// a stream of one-shot inputs cannot push the repeated ones out. Put
+// itself never consults the doorkeeper: callers that hold evidence of
+// demand (a widen, a peer's transfer) store directly.
 //
 // Entries additionally carry lifecycle stamps: a monotonic GENERATION
 // (bumped by the owner whenever the model or calibration is swapped
@@ -153,6 +163,9 @@ type Counters struct {
 	// the entry was stamped under an older generation and removed at
 	// lookup. Each invalidation also counts in Evictions.
 	Invalidated int64
+	// Refused counts offers Admit turned away: first offers of a key
+	// with no live entry while the cache was full.
+	Refused int64
 }
 
 // Stats is a coherent snapshot of the cache's gauges and counters,
@@ -187,6 +200,13 @@ type Cache struct {
 	head  node
 	bytes int64
 	ctr   Counters
+	// The admission doorkeeper (Admit): door maps each remembered
+	// refused key to its refusal sequence number (the value of
+	// ctr.Refused when it was refused); doorRing holds the last
+	// MaxEntries refused keys in slots seq % MaxEntries, so the oldest
+	// is forgotten as a new one arrives.
+	door     map[Key]int64
+	doorRing []Key
 }
 
 // node is one LRU slot. Entries travel by pointer and are immutable;
@@ -203,6 +223,10 @@ type node struct {
 // New builds an empty cache bounded by cfg.
 func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, items: make(map[Key]*node)}
+	if cfg.MaxEntries > 0 {
+		c.door = make(map[Key]int64, cfg.MaxEntries)
+		c.doorRing = make([]Key, cfg.MaxEntries)
+	}
 	c.now = cfg.Now
 	if c.now == nil {
 		c.now = time.Now
@@ -275,6 +299,40 @@ func (c *Cache) Touch(k Key) {
 		c.unlink(n)
 		c.pushFront(n)
 	}
+}
+
+// Admit reports whether a walk for k should be offered to Put: the
+// scan-resistant admission rule. A live key is always admitted (its
+// offer can only widen), and so is any key while the cache holds
+// fewer than MaxEntries entries (or has no entry bound). Once it is
+// full, a key's first offer is refused — counted in Refused — and the
+// key remembered among the last MaxEntries refused keys; a second
+// offer while it is still remembered is admitted and forgets it.
+// Callers ask before building the entry, so a refused offer costs
+// nothing.
+func (c *Cache) Admit(k Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.liveLocked(k); ok {
+		return true
+	}
+	if c.cfg.MaxEntries <= 0 || len(c.items) < c.cfg.MaxEntries {
+		return true
+	}
+	if _, ok := c.door[k]; ok {
+		delete(c.door, k)
+		return true
+	}
+	// Remember k in the oldest slot, forgetting the slot's previous
+	// key unless it has since been admitted and refused anew.
+	seq, n := c.ctr.Refused, int64(len(c.doorRing))
+	if s, ok := c.door[c.doorRing[seq%n]]; ok && s == seq-n {
+		delete(c.door, c.doorRing[seq%n])
+	}
+	c.doorRing[seq%n] = k
+	c.door[k] = seq
+	c.ctr.Refused++
+	return false
 }
 
 // liveLocked returns the node for k if it is live under the current

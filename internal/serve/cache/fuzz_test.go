@@ -51,11 +51,12 @@ func fuzzSetup() {
 // cache as one target: (1) hash stability — equal inputs must hash
 // equal, and the key must be a pure function of the bit pattern; (2)
 // eviction under churn — a small bounded cache driven by an arbitrary
-// Put/Get op stream must hold both bounds and its counter identity
-// after every op; (3) the resume path — ImportState must reject every
-// structurally corrupted ladder state with an error (never a panic),
-// and an intact import must still climb to logits bitwise equal to
-// the cold walk. Wired into the ci.sh fuzz-smoke stage.
+// Put/Admit/Get op stream must hold both bounds, its counter
+// identity, a monotonic refusal counter and the doorkeeper's
+// MaxEntries bound after every op; (3) the resume path — ImportState
+// must reject every structurally corrupted ladder state with an error
+// (never a panic), and an intact import must still climb to logits
+// bitwise equal to the cold walk. Wired into the ci.sh fuzz-smoke stage.
 func FuzzCacheResume(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x20, 0x40, 0x80, 0xff})
@@ -78,6 +79,8 @@ func FuzzCacheResume(f *testing.F) {
 		// every op must preserve the bounds and, on ONE coherent
 		// Stats snapshot, the Len == Inserts − Evictions identity
 		// (every expiry and invalidation must count as an eviction).
+		// Half the puts go through the admission doorkeeper first, as
+		// the serving layer's do.
 		const maxEntries, maxBytes = 4, 8192
 		var tick int64
 		clock := func() time.Time { return time.Unix(0, tick) }
@@ -86,11 +89,15 @@ func FuzzCacheResume(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
+		var refused int64
 		for _, b := range ops {
 			tick += int64(b % 8) // advance the clock 0–7ns per op
 			k := KeyOf([]float64{float64(b % 16)})
 			switch b % 5 {
 			case 0, 1:
+				if b%5 == 1 && !c.Admit(k) {
+					break // a refused offer is never built
+				}
 				stored := c.Put(k, entry(1+int(b>>4)%3, 8*(1+int(b%29))))
 				if stored {
 					if e, ok := c.Get(k); !ok || e.Subnet < 1+int(b>>4)%3 {
@@ -120,6 +127,13 @@ func FuzzCacheResume(f *testing.F) {
 			}
 			if st.Counters.Expired+st.Counters.Invalidated > st.Counters.Evictions {
 				t.Fatalf("attribution exceeds evictions: %+v", st.Counters)
+			}
+			if st.Counters.Refused < refused {
+				t.Fatalf("refusal counter fell from %d to %d", refused, st.Counters.Refused)
+			}
+			refused = st.Counters.Refused
+			if n := len(c.remembered()); n > maxEntries {
+				t.Fatalf("doorkeeper remembers %d keys, bound %d", n, maxEntries)
 			}
 		}
 

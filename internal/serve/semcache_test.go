@@ -209,7 +209,10 @@ func TestEarlyExitNeverChangesArgmax(t *testing.T) {
 // TestCacheEvictionBoundsLiveSet pins the serving-side eviction
 // wiring: a cache bounded to a handful of entries under many distinct
 // inputs stays within its bounds and reports evictions, while the
-// Submitted = Served + Rejected invariant holds throughout.
+// Submitted = Served + Rejected invariant holds throughout. Each
+// input is sent twice in a row: once the cache is full, the first
+// walk is refused by the admission doorkeeper and the second is
+// stored, evicting the least recently used entry.
 func TestCacheEvictionBoundsLiveSet(t *testing.T) {
 	m := buildModel(431)
 	sv, err := New(Config{
@@ -221,8 +224,10 @@ func TestCacheEvictionBoundsLiveSet(t *testing.T) {
 	}
 	imgLen := m.InC * m.InH * m.InW
 	for i := 0; i < 12; i++ {
-		if _, err := sv.Submit(Request{Input: inputVec(uint64(600+i), imgLen), Deadline: time.Hour}); err != nil {
-			t.Fatal(err)
+		for offer := 0; offer < 2; offer++ {
+			if _, err := sv.Submit(Request{Input: inputVec(uint64(600+i), imgLen), Deadline: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// The most recent key must have survived the churn.
@@ -240,8 +245,14 @@ func TestCacheEvictionBoundsLiveSet(t *testing.T) {
 	if snap.CacheEvictions == 0 {
 		t.Fatal("12 distinct keys through a 4-entry cache produced no evictions")
 	}
-	if snap.CacheHits != 1 {
-		t.Fatalf("cache hits %d, want 1", snap.CacheHits)
+	// The first four keys fill the cache and hit on their second
+	// send; each of the other eight is refused once, then stored at
+	// the cost of one eviction.
+	if snap.CacheRefused != 8 || snap.CacheEvictions != 8 {
+		t.Fatalf("refused %d evictions %d, want 8/8", snap.CacheRefused, snap.CacheEvictions)
+	}
+	if snap.CacheHits != 5 {
+		t.Fatalf("cache hits %d, want 5", snap.CacheHits)
 	}
 	sv.Close()
 	snap = sv.Stats()

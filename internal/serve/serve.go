@@ -137,7 +137,11 @@ type Config struct {
 	// CacheEntries, when positive, arms the semantic result cache:
 	// every served request is keyed by a deterministic hash of its
 	// input and its widest reached rung (logits + resumable engine
-	// state) is stored, bounded by CacheEntries live entries. A repeat
+	// state) is stored, bounded by CacheEntries live entries. Once
+	// the cache is full, an input with no live entry is stored only
+	// on its second walk (the first is refused and remembered among
+	// the last CacheEntries refused keys, counted in CacheRefused), so
+	// one-shot inputs cannot evict the repeated ones. A repeat
 	// request whose cached rung already covers its ladder cap is
 	// answered from the cache at zero MACs; one whose budget reaches
 	// further seeds a worker engine from the cached rung and climbs
@@ -589,6 +593,7 @@ func (s *Server) Stats() Snapshot {
 		snap.CacheEvictions = cs.Counters.Evictions
 		snap.CacheExpired = cs.Counters.Expired
 		snap.CacheInvalidated = cs.Counters.Invalidated
+		snap.CacheRefused = cs.Counters.Refused
 		snap.CacheGeneration = cs.Generation
 	}
 	snap.Speculated = s.speculated.Load()
@@ -1124,7 +1129,9 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 	// whole batch walked to cur together, so each row's state is valid
 	// there — including rows that answered earlier at a narrower rung).
 	// The cache keeps the widest walk per key, so offers at or below a
-	// live entry's rung are dropped inside Put.
+	// live entry's rung are dropped inside Put. A full cache admits a
+	// new key only on its second offer (cache.Admit), asked before the
+	// export so a refused one-shot input costs nothing.
 	if s.cache != nil && cur >= 1 {
 		for i, p := range batch {
 			if !p.hasKey {
@@ -1137,6 +1144,9 @@ func (s *Server) runBatch(e *infer.Engine, bufs map[int]*tensor.Tensor, batch []
 				// lands — doomed requests released by failBatch never
 				// get here.
 				s.cache.Touch(p.key)
+				continue
+			}
+			if !s.cache.Admit(p.key) {
 				continue
 			}
 			st, err := e.ExportState(i)

@@ -308,6 +308,10 @@ type Snapshot struct {
 	// bump (a model or calibration swap underneath the cache). Each
 	// also counts in CacheEvictions.
 	CacheInvalidated int64 `json:"cache_invalidated"`
+	// CacheRefused counts walks the full cache declined to store:
+	// first offers of an input with no live entry, under the
+	// scan-resistant admission rule (see Config.CacheEntries).
+	CacheRefused int64 `json:"cache_refused"`
 	// CacheGeneration is the cache's current generation stamp —
 	// incremented on every calibration-refresh swap.
 	CacheGeneration uint64 `json:"cache_generation"`

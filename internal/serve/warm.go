@@ -21,7 +21,9 @@ func (s *Server) CachePeek(k cache.Key) (*cache.Entry, bool) {
 // generation (peer generations are meaningless here: the transfer is
 // fresh evidence under this server's model) and competes under the
 // normal widest-rung-wins and LRU rules, so warming can never evict
-// hotter local work with narrower remote walks. Installed entries are
+// hotter local work with narrower remote walks. It skips the
+// admission doorkeeper (cache.Cache.Admit): a peer only transfers a
+// key that is already in demand. Installed entries are
 // counted in Snapshot.CacheWarmed. A no-op on a cache-less server.
 func (s *Server) WarmInstall(k cache.Key, e *cache.Entry) bool {
 	if s.cache == nil {
