@@ -112,7 +112,7 @@ echo "== cache publish races (both backends) =="
 # test that submits and then reads the cache must wait for the entry.
 # Twenty repeats of the tests that do so turn a missed wait into a
 # gate failure instead of a rare tier-1 flake.
-PUBLISH_TESTS='TestWarmingTransfersEntryEndToEnd|TestCacheEvictionBoundsLiveSet|TestCacheHitServesStoredLogits'
+PUBLISH_TESTS='TestWarmingTransfersEntryEndToEnd|TestCacheEvictionBoundsLiveSet|TestCacheHitServesStoredLogits|TestCalibrationRefreshKeepsCache'
 go test -count=20 -run "$PUBLISH_TESTS" ./internal/cluster ./internal/serve
 STEPPINGNET_NOSIMD=1 go test -count=20 -run "$PUBLISH_TESTS" ./internal/cluster ./internal/serve
 
@@ -130,12 +130,13 @@ echo "== chaos (default backend) =="
 # The serving layer's randomized lifecycle storm always runs under the
 # race detector (even with --quick) and under both GEMM backends:
 # close/submit races are exactly where the backends' differing step
-# timings shake out different interleavings. The cache-staleness storm
-# rides along: concurrent TTL expiry, calibration-swap invalidation
-# and speculative pre-climbs against a live submit stream.
-go test -race -count=1 -run 'TestChaosRandomizedLifecycles|TestChaosCacheStaleness' ./internal/serve
+# timings shake out different interleavings. The cache-under-refresh
+# storm rides along: calibration refreshes and speculative pre-climbs
+# against a live submit stream, every answer checked against a cold
+# walk.
+go test -race -count=1 -run 'TestChaosRandomizedLifecycles|TestChaosCacheUnderRefresh' ./internal/serve
 echo "== chaos (scalar backend) =="
-STEPPINGNET_NOSIMD=1 go test -race -count=1 -run 'TestChaosRandomizedLifecycles|TestChaosCacheStaleness' ./internal/serve
+STEPPINGNET_NOSIMD=1 go test -race -count=1 -run 'TestChaosRandomizedLifecycles|TestChaosCacheUnderRefresh' ./internal/serve
 
 echo "== overload governor (default backend) =="
 # The SLO-driven brownout loop always runs under the race detector on
@@ -160,8 +161,8 @@ echo "== cluster chaos (scalar backend) =="
 STEPPINGNET_NOSIMD=1 go test -race -count=1 -run 'TestClusterChaosKillOneReplica|TestExactlyOneAnswerUnderRandomFaults' ./internal/cluster
 
 echo "== router e2e smoke =="
-# Stand up three real replica processes (each with a TTL'd semantic
-# cache and idle-window speculation armed) and an affinity-routing,
+# Stand up three real replica processes (each with a semantic cache
+# and idle-window speculation armed) and an affinity-routing,
 # cache-warming router over them, then drive three loadgen phases: a
 # mixed multi-target spray (router plus one replica directly, with a
 # couple of slow-loris connections against the router), a repeat-heavy
@@ -178,7 +179,7 @@ echo "== router e2e smoke =="
     E2E_TMP=$(mktemp -d)
     trap 'kill $(jobs -p) 2>/dev/null || true; wait 2>/dev/null || true; rm -rf "$E2E_TMP"' EXIT
     go build -o "$E2E_TMP/stepserve" ./cmd/stepserve
-    REPLICA_FLAGS='-workers 1 -queue 16 -batch 4 -refresh 0 -cache 64 -cache-ttl 1m -speculate'
+    REPLICA_FLAGS='-workers 1 -queue 16 -batch 4 -refresh 0 -cache 64 -speculate'
     "$E2E_TMP/stepserve" -addr 127.0.0.1:18081 $REPLICA_FLAGS &
     "$E2E_TMP/stepserve" -addr 127.0.0.1:18082 $REPLICA_FLAGS &
     "$E2E_TMP/stepserve" -addr 127.0.0.1:18083 $REPLICA_FLAGS &

@@ -601,11 +601,10 @@ func printRemoteView(target string) {
 			}
 			// Each replica's own /stats reveals where cache reuse
 			// actually landed — the concentration affinity buys — and
-			// what the lifecycle did to it (entries warmed in by the
-			// router, entries aged out by the TTL).
+			// how many entries the router warmed in.
 			if snap, ok := replicaCacheSnap(rs.Target); ok {
-				line += fmt.Sprintf(" cache-hits=%-5d warmed=%-4d expired=%d",
-					snap.CacheHits+snap.CacheResumes, snap.CacheWarmed, snap.CacheExpired)
+				line += fmt.Sprintf(" cache-hits=%-5d warmed=%d",
+					snap.CacheHits+snap.CacheResumes, snap.CacheWarmed)
 				hits := snap.CacheHits + snap.CacheResumes
 				hitTotal += hits
 				if hits > hitTop {
@@ -682,10 +681,9 @@ func printClassProtection(snap serve.Snapshot) {
 		if snap.Served > 0 {
 			reuse = float64(snap.CacheHits+snap.CacheResumes) / float64(snap.Served)
 		}
-		fmt.Printf("semantic cache: %d hits, %d resumes (%.1f%% of answers), %d early exits; %d entries / %d KiB live, %d evictions (%d expired, %d invalidated), %d refused, gen %d\n",
+		fmt.Printf("semantic cache: %d hits, %d resumes (%.1f%% of answers), %d early exits; %d entries / %d KiB live, %d evictions, %d refused\n",
 			snap.CacheHits, snap.CacheResumes, 100*reuse, snap.EarlyExits,
-			snap.CacheEntries, snap.CacheBytes>>10, snap.CacheEvictions,
-			snap.CacheExpired, snap.CacheInvalidated, snap.CacheRefused, snap.CacheGeneration)
+			snap.CacheEntries, snap.CacheBytes>>10, snap.CacheEvictions, snap.CacheRefused)
 		if snap.Speculated > 0 || snap.CacheWarmed > 0 {
 			fmt.Printf("cache lifecycle: %d speculative pre-climbs (%d kMAC idle-window work), %d entries warmed in from peers\n",
 				snap.Speculated, snap.SpeculativeMACs/1e3, snap.CacheWarmed)

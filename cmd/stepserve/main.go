@@ -145,7 +145,6 @@ func main() {
 	control := flag.Duration("control", 0, "overload governor tick interval (0 = 100ms when -slo is set)")
 	cacheEntries := flag.Int("cache", 0, "semantic result cache capacity in entries (0 disables; repeated inputs are answered from — or resumed off — cached ladder state; once full, an input is stored on its second walk)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "semantic cache memory bound in bytes (0 = 64MiB default when -cache is set)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "semantic cache entry time-to-live (0 = no age bound; entries still invalidate on calibration refresh)")
 	speculate := flag.Bool("speculate", false, "pre-climb the hottest sub-top cached walks during idle worker windows (requires -cache; speculative MACs are metered separately)")
 	warmFile := flag.String("warm-file", "", "server: persist the hot input set here on drain and pre-climb it on startup (restart warming)")
 	exitMarginSpec := flag.String("exit-margin", "", "confidence early-exit top-2 logit margin: a single threshold, or a comma-separated per-class vector indexed by predicted class (empty disables the exit)")
@@ -208,7 +207,7 @@ func main() {
 		}
 		m, srv := mustBuildServing(*modelName, *classes, *imgHW, *expansion, *subnets, *seed, *train,
 			*workers, *queueDepth, *maxBatch, *deadline, *priorities, *refresh, slos, *control,
-			*cacheEntries, *cacheBytes, *cacheTTL, *speculate, exitMargin, exitMargins, *exitCalibrate)
+			*cacheEntries, *cacheBytes, *speculate, exitMargin, exitMargins, *exitCalibrate)
 		runLoadgen(srv, m, *rps, *duration, mix, *seed, *scenario, shape, slos, *repeat)
 		srv.Close()
 		return
@@ -239,7 +238,7 @@ func main() {
 			SLOs:            slos,
 			ControlInterval: *control,
 			CacheEntries:    *cacheEntries, CacheBytes: *cacheBytes,
-			CacheTTL: *cacheTTL, Speculate: *speculate,
+			Speculate:   *speculate,
 			ExitMargins: margins,
 		}
 		if margins == nil {
@@ -267,7 +266,7 @@ func main() {
 func mustBuildServing(modelName string, classes, imgHW int, expansion float64, subnets int, seed uint64, train bool,
 	workers, queueDepth, maxBatch int, deadline time.Duration, priorities int, refresh time.Duration,
 	slos []governor.SLO, control time.Duration,
-	cacheEntries int, cacheBytes int64, cacheTTL time.Duration, speculate bool,
+	cacheEntries int, cacheBytes int64, speculate bool,
 	exitMargin float64, exitMargins []float64, exitCalibrate int) (*models.Model, *serve.Server) {
 	m, err := buildServeModel(modelName, classes, imgHW, expansion, subnets, seed, train)
 	if err != nil {
@@ -289,7 +288,7 @@ func mustBuildServing(modelName string, classes, imgHW int, expansion float64, s
 		SLOs:            slos,
 		ControlInterval: control,
 		CacheEntries:    cacheEntries, CacheBytes: cacheBytes,
-		CacheTTL: cacheTTL, Speculate: speculate,
+		Speculate:   speculate,
 		ExitMargins: margins,
 	}
 	if margins == nil {
@@ -351,9 +350,6 @@ func calibratedExitMargins(m *models.Model, subnets, nCal int, seed uint64) ([]f
 func logCacheExit(cfg serve.Config) {
 	if cfg.CacheEntries > 0 {
 		line := fmt.Sprintf("semantic cache: %d entries", cfg.CacheEntries)
-		if cfg.CacheTTL > 0 {
-			line += fmt.Sprintf(", TTL %v", cfg.CacheTTL)
-		}
 		if cfg.Speculate {
 			line += ", idle-window speculation on"
 		}
@@ -574,10 +570,9 @@ func newMux(a *app) *http.ServeMux {
 	})
 	// The cache-warming wire surface (see cluster.CacheTransfer): GET
 	// exports one semantic-cache entry by its hex key, POST installs a
-	// transferred one under the local generation. Both answer on a
-	// cache-less replica too — GET with an honest 404, POST as a no-op
-	// accept — so a heterogeneous fleet never turns warming into
-	// breaker evidence.
+	// transferred one. Both answer on a cache-less replica too — GET
+	// with an honest 404, POST as a no-op accept — so a heterogeneous
+	// fleet never turns warming into breaker evidence.
 	mux.HandleFunc("/cache/entry", func(w http.ResponseWriter, r *http.Request) {
 		if msg := a.notReady(); msg != "" {
 			http.Error(w, msg, http.StatusServiceUnavailable)

@@ -26,20 +26,16 @@
 // itself never consults the doorkeeper: callers that hold evidence of
 // demand (a widen, a peer's transfer) store directly.
 //
-// Entries additionally carry lifecycle stamps: a monotonic GENERATION
-// (bumped by the owner whenever the model or calibration is swapped
-// underneath the cache — see BumpGeneration) and an insertion time
-// checked against an optional TTL. A lookup that finds an entry from
-// an older generation or past its TTL treats it as a miss-and-evict:
-// the stale entry is removed (counted as an eviction, with Expired or
-// Invalidated recording the cause) and the caller sees a plain miss,
-// so stale state can never seed a resume.
+// Entries never go stale. A cached rung is a pure function of the
+// frozen model and its input: the model is fixed for the life of the
+// server, and a calibration refresh changes which rung a request can
+// afford, never the value of a rung. So an entry stays valid until
+// the LRU bounds evict it, and there is no expiry or invalidation.
 package cache
 
 import (
 	"math"
 	"sync"
-	"time"
 
 	"steppingnet/internal/infer"
 )
@@ -127,42 +123,23 @@ type Config struct {
 	// rejected by Put (storing it would immediately evict everything
 	// including itself).
 	MaxBytes int64
-	// TTL bounds an entry's lifetime from its insertion (a widen
-	// restamps): a lookup past the TTL evicts the entry and reports a
-	// miss, counted under Counters.Expired. ≤ 0 disables expiry.
-	TTL time.Duration
-	// Now overrides the clock used for TTL stamps and checks — the
-	// injection point that makes expiry deterministic in tests. Nil
-	// means time.Now. Only consulted when TTL > 0, so a TTL-free
-	// cache takes no timestamps at all.
-	Now func() time.Time
 }
 
 // Counters is a snapshot of the cache's monotonic event counters.
 type Counters struct {
 	// Hits counts lookups that found a live entry.
 	Hits int64
-	// Misses counts lookups that found nothing live (including
-	// lookups that found only a stale entry and evicted it).
+	// Misses counts lookups that found nothing live.
 	Misses int64
 	// Inserts counts Puts that stored a new key.
 	Inserts int64
 	// Widens counts Puts that replaced a live entry with a wider rung.
 	Widens int64
-	// Evictions counts live entries removed for any reason: the LRU
-	// bounds, TTL expiry, or a generation bump observed at lookup. An
+	// Evictions counts live entries the LRU bounds removed. An
 	// oversized Put rejected outright is not an eviction (nothing
 	// live was removed), so Len() == Inserts − Evictions always holds
 	// — an invariant the fuzz target leans on.
 	Evictions int64
-	// Expired attributes evictions caused by the TTL: the entry was
-	// found past its lifetime and removed. Each expiry also counts in
-	// Evictions (attribution, not a separate pool).
-	Expired int64
-	// Invalidated attributes evictions caused by a generation bump:
-	// the entry was stamped under an older generation and removed at
-	// lookup. Each invalidation also counts in Evictions.
-	Invalidated int64
 	// Refused counts offers Admit turned away: first offers of a key
 	// with no live entry while the cache was full.
 	Refused int64
@@ -178,8 +155,6 @@ type Stats struct {
 	Len int
 	// Bytes is the summed accounted footprint of live entries.
 	Bytes int64
-	// Generation is the cache's current generation stamp.
-	Generation uint64
 	// Counters is the monotonic event-counter snapshot.
 	Counters Counters
 }
@@ -188,12 +163,8 @@ type Stats struct {
 // for concurrent use; the zero value is not usable — construct with
 // New.
 type Cache struct {
-	mu  sync.Mutex
-	cfg Config
-	now func() time.Time
-	// gen is the current generation; entries stamped under an older
-	// one are evicted at lookup (BumpGeneration).
-	gen   uint64
+	mu    sync.Mutex
+	cfg   Config
 	items map[Key]*node
 	// Intrusive LRU list: head.next is most recently used, head.prev
 	// least. A sentinel head keeps link/unlink branch-free.
@@ -215,8 +186,6 @@ type node struct {
 	key        Key
 	entry      *Entry
 	size       int64
-	gen        uint64
-	stamp      time.Time
 	prev, next *node
 }
 
@@ -227,10 +196,6 @@ func New(cfg Config) *Cache {
 		c.door = make(map[Key]int64, cfg.MaxEntries)
 		c.doorRing = make([]Key, cfg.MaxEntries)
 	}
-	c.now = cfg.Now
-	if c.now == nil {
-		c.now = time.Now
-	}
 	c.head.prev = &c.head
 	c.head.next = &c.head
 	return c
@@ -238,14 +203,13 @@ func New(cfg Config) *Cache {
 
 // Get returns the live entry for k, marking it most recently used.
 // The returned entry is shared and immutable — callers must not
-// mutate it. A stale entry (older generation or past TTL) is evicted
-// and reported as a miss. Callers that may still abandon the request
+// mutate it. Callers that may still abandon the request
 // (admission, deadline checks) should use Lookup + Touch instead, so
 // doomed work cannot churn the LRU order.
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.liveLocked(k)
+	n, ok := c.items[k]
 	if !ok {
 		c.ctr.Misses++
 		return nil, false
@@ -257,7 +221,7 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 }
 
 // Lookup is Get without the recency refresh: it counts the hit or
-// miss and enforces staleness, but leaves the LRU order untouched.
+// miss but leaves the LRU order untouched.
 // The serving layer looks entries up at batch formation and calls
 // Touch only for requests that actually reach an answer or a walk —
 // a flood of requests that are then rejected downstream must not
@@ -265,7 +229,7 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 func (c *Cache) Lookup(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.liveLocked(k)
+	n, ok := c.items[k]
 	if !ok {
 		c.ctr.Misses++
 		return nil, false
@@ -275,14 +239,13 @@ func (c *Cache) Lookup(k Key) (*Entry, bool) {
 }
 
 // Peek returns the live entry for k without counting a hit or miss
-// and without refreshing recency. Staleness is still enforced (a
-// stale entry is evicted and not returned). It serves observers that
+// and without refreshing recency. It serves observers that
 // are not request traffic: the speculative pre-climber choosing work
 // and the warming endpoint exporting entries to peers.
 func (c *Cache) Peek(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.liveLocked(k)
+	n, ok := c.items[k]
 	if !ok {
 		return nil, false
 	}
@@ -295,7 +258,7 @@ func (c *Cache) Peek(k Key) (*Entry, bool) {
 func (c *Cache) Touch(k Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.liveLocked(k); ok {
+	if n, ok := c.items[k]; ok {
 		c.unlink(n)
 		c.pushFront(n)
 	}
@@ -313,7 +276,7 @@ func (c *Cache) Touch(k Key) {
 func (c *Cache) Admit(k Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.liveLocked(k); ok {
+	if _, ok := c.items[k]; ok {
 		return true
 	}
 	if c.cfg.MaxEntries <= 0 || len(c.items) < c.cfg.MaxEntries {
@@ -335,60 +298,6 @@ func (c *Cache) Admit(k Key) bool {
 	return false
 }
 
-// liveLocked returns the node for k if it is live under the current
-// generation and TTL. A stale node is evicted here — counted as an
-// eviction with its cause attributed — and reported as absent.
-// Caller holds the lock.
-func (c *Cache) liveLocked(k Key) (*node, bool) {
-	n, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	if n.gen != c.gen {
-		c.removeLocked(n)
-		c.ctr.Invalidated++
-		return nil, false
-	}
-	if c.cfg.TTL > 0 && c.now().Sub(n.stamp) > c.cfg.TTL {
-		c.removeLocked(n)
-		c.ctr.Expired++
-		return nil, false
-	}
-	return n, true
-}
-
-// removeLocked evicts n from the map and list and counts the
-// eviction. Caller holds the lock and attributes the cause.
-func (c *Cache) removeLocked(n *node) {
-	c.unlink(n)
-	delete(c.items, n.key)
-	c.bytes -= n.size
-	c.ctr.Evictions++
-}
-
-// BumpGeneration advances the cache's generation stamp and returns
-// the new value. Every live entry becomes stale at once — each is
-// evicted lazily at its next lookup (counted under Invalidated) —
-// without walking the live set. The serving layer bumps whenever the
-// model or calibration is swapped underneath the cache, so no walk
-// resumes from state a swapped model did not produce.
-func (c *Cache) BumpGeneration() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	return c.gen
-}
-
-// Generation returns the current generation stamp. Pair with
-// PutIfGeneration to make a read-compute-write cycle (e.g. a
-// speculative pre-climb) discard its result if the world changed
-// while it computed.
-func (c *Cache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
 // Put offers an entry for k and reports whether it was stored. An
 // existing live entry at an equal or wider rung wins (the offer is
 // dropped — the cache keeps only the widest walk per key, and a
@@ -400,26 +309,6 @@ func (c *Cache) Generation() uint64 {
 func (c *Cache) Put(k Key, e *Entry) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putLocked(k, e)
-}
-
-// PutIfGeneration is Put gated on the generation observed when the
-// offer's inputs were read: if the cache's generation has moved past
-// gen, the offer is dropped. It closes the read-compute-write race a
-// lazy invalidation scheme otherwise has — state peeked under
-// generation g, climbed, and offered back after a bump would
-// resurrect pre-bump data under the new generation.
-func (c *Cache) PutIfGeneration(k Key, e *Entry, gen uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
-		return false
-	}
-	return c.putLocked(k, e)
-}
-
-// putLocked is the Put body. Caller holds the lock.
-func (c *Cache) putLocked(k Key, e *Entry) bool {
 	if e == nil || e.Subnet < 1 {
 		return false
 	}
@@ -427,11 +316,7 @@ func (c *Cache) putLocked(k Key, e *Entry) bool {
 	if c.cfg.MaxBytes > 0 && size > c.cfg.MaxBytes {
 		return false
 	}
-	var stamp time.Time
-	if c.cfg.TTL > 0 {
-		stamp = c.now()
-	}
-	if n, ok := c.items[k]; ok && c.nodeLive(n, stamp) {
+	if n, ok := c.items[k]; ok {
 		if n.entry.Subnet >= e.Subnet {
 			// Keep the wider (or equal) walk; refresh recency — the
 			// key is demonstrably hot.
@@ -452,45 +337,19 @@ func (c *Cache) putLocked(k Key, e *Entry) bool {
 		}
 		c.bytes -= n.size
 		n.entry, n.size = e, size
-		n.stamp = stamp
 		c.bytes += size
 		c.unlink(n)
 		c.pushFront(n)
 		c.ctr.Widens++
 		c.evictOver()
 		return true
-	} else if ok {
-		// The slot exists but is stale (old generation or expired):
-		// evict it with attribution and fall through to a fresh
-		// insert — comparing rungs against stale data would let a
-		// pre-bump walk outrank a post-bump one.
-		if n.gen != c.gen {
-			c.removeLocked(n)
-			c.ctr.Invalidated++
-		} else {
-			c.removeLocked(n)
-			c.ctr.Expired++
-		}
 	}
-	n := &node{key: k, entry: e, size: size, gen: c.gen, stamp: stamp}
+	n := &node{key: k, entry: e, size: size}
 	c.items[k] = n
 	c.bytes += size
 	c.pushFront(n)
 	c.ctr.Inserts++
 	c.evictOver()
-	return true
-}
-
-// nodeLive reports whether n is live under the current generation
-// and TTL, without evicting. stamp carries the already-taken clock
-// reading when TTL is armed (zero otherwise). Caller holds the lock.
-func (c *Cache) nodeLive(n *node, stamp time.Time) bool {
-	if n.gen != c.gen {
-		return false
-	}
-	if c.cfg.TTL > 0 && stamp.Sub(n.stamp) > c.cfg.TTL {
-		return false
-	}
 	return true
 }
 
@@ -503,7 +362,10 @@ func (c *Cache) evictOver() {
 		if lru == &c.head {
 			return
 		}
-		c.removeLocked(lru)
+		c.unlink(lru)
+		delete(c.items, lru.key)
+		c.bytes -= lru.size
+		c.ctr.Evictions++
 	}
 }
 
@@ -551,5 +413,5 @@ func (c *Cache) Counters() Counters {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Len: len(c.items), Bytes: c.bytes, Generation: c.gen, Counters: c.ctr}
+	return Stats{Len: len(c.items), Bytes: c.bytes, Counters: c.ctr}
 }

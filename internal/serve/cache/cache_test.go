@@ -3,7 +3,6 @@ package cache
 import (
 	"math"
 	"testing"
-	"time"
 
 	"steppingnet/internal/infer"
 	"steppingnet/internal/tensor"
@@ -189,97 +188,6 @@ func TestWidenRetainsState(t *testing.T) {
 	}
 	if e, _ := c.Get(k); e.State != wider.State {
 		t.Fatal("resumable widen should install the new state")
-	}
-}
-
-// TestTTLExpiryGolden pins the expiry accounting contract exactly: a
-// lookup that finds an entry past its TTL evicts it and reports a
-// miss — one miss, one eviction, one expired, nothing else — and the
-// Len == Inserts − Evictions identity holds across the transition.
-func TestTTLExpiryGolden(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	c := New(Config{MaxEntries: 8, MaxBytes: 1 << 20, TTL: 10 * time.Second, Now: clock})
-	k := KeyOf([]float64{1})
-	if !c.Put(k, entry(2, 16)) {
-		t.Fatal("Put should store")
-	}
-	now = now.Add(10 * time.Second) // exactly at TTL: still live
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("entry at exactly TTL should still be live")
-	}
-	now = now.Add(time.Nanosecond) // past TTL
-	if _, ok := c.Get(k); ok {
-		t.Fatal("entry past TTL should miss")
-	}
-	st := c.Stats()
-	if st.Counters.Misses != 1 || st.Counters.Evictions != 1 || st.Counters.Expired != 1 {
-		t.Fatalf("expiry counted misses=%d evictions=%d expired=%d, want exactly 1/1/1",
-			st.Counters.Misses, st.Counters.Evictions, st.Counters.Expired)
-	}
-	if st.Counters.Invalidated != 0 {
-		t.Fatalf("expiry misattributed as invalidation: %d", st.Counters.Invalidated)
-	}
-	if st.Len != 0 || int64(st.Len) != st.Counters.Inserts-st.Counters.Evictions {
-		t.Fatalf("identity broken after expiry: len=%d inserts=%d evictions=%d",
-			st.Len, st.Counters.Inserts, st.Counters.Evictions)
-	}
-	if st.Bytes != 0 {
-		t.Fatalf("expired entry's bytes not released: %d", st.Bytes)
-	}
-	// A fresh Put after the expiry restamps and serves again.
-	if !c.Put(k, entry(2, 16)) {
-		t.Fatal("re-Put after expiry should store")
-	}
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("restamped entry should be live")
-	}
-}
-
-// TestGenerationInvalidation pins the generation contract: after
-// BumpGeneration every pre-bump entry is evicted at its next lookup
-// (miss + eviction + invalidated), Put across the bump compares
-// against nothing stale, and PutIfGeneration discards an offer whose
-// inputs were read before the bump.
-func TestGenerationInvalidation(t *testing.T) {
-	c := New(Config{MaxEntries: 8, MaxBytes: 1 << 20})
-	k := KeyOf([]float64{3})
-	c.Put(k, entry(3, 64))
-	gen := c.Generation()
-	if got := c.BumpGeneration(); got != gen+1 {
-		t.Fatalf("BumpGeneration returned %d, want %d", got, gen+1)
-	}
-	if _, ok := c.Get(k); ok {
-		t.Fatal("pre-bump entry should miss after the bump")
-	}
-	st := c.Stats()
-	if st.Counters.Invalidated != 1 || st.Counters.Evictions != 1 || st.Counters.Misses != 1 {
-		t.Fatalf("invalidation counted invalidated=%d evictions=%d misses=%d, want 1/1/1",
-			st.Counters.Invalidated, st.Counters.Evictions, st.Counters.Misses)
-	}
-	if int64(st.Len) != st.Counters.Inserts-st.Counters.Evictions {
-		t.Fatalf("identity broken after invalidation: %+v", st)
-	}
-	// A stale slot found by Put (no intervening lookup) is evicted
-	// with attribution, and the new offer stores fresh — even at a
-	// NARROWER rung than the stale data.
-	c.Put(k, entry(3, 64))
-	c.BumpGeneration()
-	if !c.Put(k, entry(1, 16)) {
-		t.Fatal("post-bump Put at a narrower rung should store (stale slot must not outrank it)")
-	}
-	if e, ok := c.Get(k); !ok || e.Subnet != 1 {
-		t.Fatalf("post-bump entry %+v, want fresh rung-1 entry", e)
-	}
-	// PutIfGeneration: an offer computed under the old generation is
-	// dropped.
-	old := c.Generation()
-	c.BumpGeneration()
-	if c.PutIfGeneration(KeyOf([]float64{4}), entry(2, 16), old) {
-		t.Fatal("PutIfGeneration should drop a cross-generation offer")
-	}
-	if c.PutIfGeneration(KeyOf([]float64{4}), entry(2, 16), c.Generation()) != true {
-		t.Fatal("PutIfGeneration at the current generation should store")
 	}
 }
 

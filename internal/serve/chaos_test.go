@@ -16,11 +16,11 @@ import (
 // TestChaosRandomizedLifecycles is the serving layer's chaos gate,
 // run under -race by ci.sh on both GEMM backends. Each iteration
 // draws a random server shape (workers, queue depth, batch size,
-// priority classes, batch window, refresh loop on/off), slams it with
-// a storm of concurrent submitters using randomized priorities and
-// deadlines — the random MaxBatch and arrival jitter make every storm
-// a mid-flight mix of batch-1 and batch-N pops — closes the server at
-// a random point *during* the storm, possibly from several goroutines
+// priority classes, refresh loop on/off), slams it with a storm of
+// concurrent submitters using randomized priorities and deadlines —
+// the random MaxBatch and arrival jitter make every storm a
+// mid-flight mix of batch-1 and batch-N pops — closes the server at a
+// random point *during* the storm, possibly from several goroutines
 // at once, and then asserts the lifecycle contract:
 //
 //   - every Submit returned exactly once, with a well-formed answer
@@ -54,9 +54,6 @@ func TestChaosRandomizedLifecycles(t *testing.T) {
 				PriorityClasses: 1 + rng.Intn(3),
 				Calibration:     instantSteps(m, 3),
 				DefaultDeadline: time.Hour,
-			}
-			if rng.Intn(2) == 1 {
-				cfg.BatchWindow = time.Duration(rng.Intn(300)) * time.Microsecond
 			}
 			if rng.Intn(2) == 1 {
 				cfg.RefreshInterval = time.Millisecond

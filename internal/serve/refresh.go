@@ -83,14 +83,10 @@ func (s *Server) refreshCalibration() bool {
 	if next.Validate() != nil {
 		return false
 	}
+	// The cache is left alone: a new latency model changes which rung
+	// a request can afford, never the value of a rung, so every cached
+	// walk stays bitwise valid.
 	s.lat.Store(next)
-	// A recalibration means the execution environment moved underneath
-	// the cache's stored walks; bump the generation so no resume seeds
-	// from state observed under the old calibration (entries are
-	// evicted lazily at their next lookup, counted under Invalidated).
-	if s.cache != nil {
-		s.cache.BumpGeneration()
-	}
 	s.stats.recordRefresh()
 	return true
 }

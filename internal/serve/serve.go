@@ -70,11 +70,6 @@ type Config struct {
 	// each request still finalizes at the widest subnet its own
 	// deadline and shed cap afford. 0 or 1 disables.
 	MaxBatch int
-	// BatchWindow, when positive, lets the batch former wait this
-	// long for more arrivals after popping an under-filled batch —
-	// trading a bounded latency hit for fuller batches under moderate
-	// load. 0 hands batches to workers greedily.
-	BatchWindow time.Duration
 	// PriorityClasses is the number of request priority classes
 	// (Request.Priority is clamped to 0..PriorityClasses-1, higher is
 	// more important). Class c may occupy at most the nested share
@@ -145,8 +140,11 @@ type Config struct {
 	// request whose cached rung already covers its ladder cap is
 	// answered from the cache at zero MACs; one whose budget reaches
 	// further seeds a worker engine from the cached rung and climbs
-	// from there, bitwise-equivalent to the cold walk it replaced. 0
-	// (the default) disables caching entirely.
+	// from there, bitwise-equivalent to the cold walk it replaced.
+	// Entries never go stale: Model is fixed at New and a calibration
+	// refresh moves only which rung a request can afford, so an entry
+	// lives until the LRU bounds evict it. 0 (the default) disables
+	// caching entirely.
 	CacheEntries int
 	// CacheBytes bounds the cache's accounted memory footprint (the
 	// dominant weight is the cached per-layer engine states). 0 with
@@ -168,15 +166,6 @@ type Config struct {
 	// rungs whose argmax falls on that class. Arms the early exit just
 	// like ExitMargin.
 	ExitMargins []float64
-	// CacheTTL, when positive, bounds every cache entry's lifetime
-	// from its insertion: a repeat arriving past the TTL sees a miss
-	// (the stale entry is evicted, counted under CacheExpired) and
-	// walks cold. 0 means entries live until the LRU bounds or a
-	// generation bump remove them. Ignored when the cache is off.
-	CacheTTL time.Duration
-	// CacheNow overrides the cache's TTL clock — the injection point
-	// that makes expiry deterministic in tests. Nil means time.Now.
-	CacheNow func() time.Time
 	// Speculate, when true, arms the idle-window speculative
 	// pre-climber: whenever the batch former finds the queue empty and
 	// a worker idle, it pops the hottest cache key whose stored walk
@@ -208,9 +197,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1
-	}
-	if c.BatchWindow < 0 {
-		return c, fmt.Errorf("serve: negative BatchWindow %v", c.BatchWindow)
 	}
 	if c.PriorityClasses < 0 {
 		return c, fmt.Errorf("serve: negative PriorityClasses %d", c.PriorityClasses)
@@ -257,9 +243,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.CacheEntries > 0 && c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.CacheTTL < 0 {
-		return c, fmt.Errorf("serve: negative CacheTTL %v", c.CacheTTL)
 	}
 	if c.Speculate && c.CacheEntries == 0 {
 		return c, fmt.Errorf("serve: Speculate requires the cache (CacheEntries > 0)")
@@ -498,8 +481,6 @@ func New(cfg Config) (*Server, error) {
 		s.cache = cache.New(cache.Config{
 			MaxEntries: cfg.CacheEntries,
 			MaxBytes:   cfg.CacheBytes,
-			TTL:        cfg.CacheTTL,
-			Now:        cfg.CacheNow,
 		})
 	}
 
@@ -591,10 +572,7 @@ func (s *Server) Stats() Snapshot {
 		snap.CacheEntries = cs.Len
 		snap.CacheBytes = cs.Bytes
 		snap.CacheEvictions = cs.Counters.Evictions
-		snap.CacheExpired = cs.Counters.Expired
-		snap.CacheInvalidated = cs.Counters.Invalidated
 		snap.CacheRefused = cs.Counters.Refused
-		snap.CacheGeneration = cs.Generation
 	}
 	snap.Speculated = s.speculated.Load()
 	snap.SpeculativeMACs = s.specMACs.Load()
@@ -900,22 +878,13 @@ func (s *Server) popBatch(max int) []*pending {
 	return s.popLocked(make([]*pending, 0, max), max)
 }
 
-// topUp non-blockingly extends an under-filled batch with whatever
-// has arrived since it was popped.
-func (s *Server) topUp(batch []*pending, max int) []*pending {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	return s.popLocked(batch, max)
-}
-
 // former is the central batch-formation goroutine: it assembles
 // micro-batches from the shared priority queue — seeing arrivals from
 // every submitter, not just whatever one worker's pop happened to
-// catch — and hands them to idle workers. Under backlog it forms full
-// MaxBatch batches in strict priority order; with BatchWindow set it
-// briefly holds an under-filled batch open for late arrivals. It
-// exits (closing the worker feed) once the server is closed and the
-// queue drained.
+// catch — and hands each to an idle worker as soon as it is popped.
+// Under backlog it forms full MaxBatch batches in strict priority
+// order. It exits (closing the worker feed) once the server is closed
+// and the queue drained.
 func (s *Server) former() {
 	defer s.wg.Done()
 	defer close(s.batches)
@@ -923,19 +892,6 @@ func (s *Server) former() {
 		batch := s.popBatch(s.cfg.MaxBatch)
 		if batch == nil {
 			return
-		}
-		if w := s.cfg.BatchWindow; w > 0 && len(batch) < s.cfg.MaxBatch {
-			// Hold an under-filled batch open only when no worker is
-			// idle: stalling a ready worker would trade real capacity
-			// for batch fullness (and cap throughput at MaxBatch per
-			// window). An immediate handoff wins if one is waiting.
-			select {
-			case s.batches <- batch:
-				continue
-			default:
-			}
-			time.Sleep(w)
-			batch = s.topUp(batch, s.cfg.MaxBatch)
 		}
 		s.batches <- batch
 	}

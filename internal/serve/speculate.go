@@ -86,11 +86,10 @@ func (s *Server) popSpeculativeLocked() *pending {
 // picking the job up wins the engine, and the candidate goes back on
 // the ring. The one-rung bound makes every speculative occupation of
 // a worker no longer than a single ladder step, so real traffic never
-// waits more than one rung boundary. The offer goes through
-// PutIfGeneration under the generation observed at the peek: a model
-// or calibration swap during the climb must not resurrect pre-swap
-// state under the new generation. Speculative MACs are metered
-// separately (Snapshot.SpeculativeMACs) and never against requests.
+// waits more than one rung boundary. The offer is a plain Put: if a
+// concurrent request walked the key wider meanwhile, widest-rung-wins
+// drops the one-rung climb. Speculative MACs are metered separately
+// (Snapshot.SpeculativeMACs) and never against requests.
 func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p *pending) {
 	s.qmu.Lock()
 	busy := s.qtotal > 0
@@ -106,7 +105,6 @@ func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p 
 	if !ok || ent.State == nil || ent.Subnet >= s.n || ent.State.Subnet != ent.Subnet {
 		return
 	}
-	gen := s.cache.Generation()
 	x := bufs[1]
 	if x == nil {
 		x = tensor.New(1, s.inC, s.inH, s.inW)
@@ -129,7 +127,7 @@ func (s *Server) runSpeculative(e *infer.Engine, bufs map[int]*tensor.Tensor, p 
 	}
 	logits := make([]float64, s.classes)
 	copy(logits, out.Data()[:s.classes])
-	if s.cache.PutIfGeneration(p.key, &cache.Entry{Subnet: next, Logits: logits, State: st}, gen) && next < s.n {
+	if s.cache.Put(p.key, &cache.Entry{Subnet: next, Logits: logits, State: st}) && next < s.n {
 		// Still below the top: requeue so further idle windows keep
 		// climbing toward a full-ladder entry.
 		s.noteSpecCandidate(p.key, p.input)

@@ -297,24 +297,12 @@ type Snapshot struct {
 	CacheEntries int `json:"cache_entries"`
 	// CacheBytes gauges the cache's accounted memory footprint.
 	CacheBytes int64 `json:"cache_bytes"`
-	// CacheEvictions counts entries the cache removed for any reason:
-	// the LRU bounds, TTL expiry, or generation invalidation.
+	// CacheEvictions counts entries the cache's LRU bounds removed.
 	CacheEvictions int64 `json:"cache_evictions"`
-	// CacheExpired attributes evictions caused by the TTL bound
-	// (Config.CacheTTL): the entry was found past its lifetime at
-	// lookup and removed. Each also counts in CacheEvictions.
-	CacheExpired int64 `json:"cache_expired"`
-	// CacheInvalidated attributes evictions caused by a generation
-	// bump (a model or calibration swap underneath the cache). Each
-	// also counts in CacheEvictions.
-	CacheInvalidated int64 `json:"cache_invalidated"`
 	// CacheRefused counts walks the full cache declined to store:
 	// first offers of an input with no live entry, under the
 	// scan-resistant admission rule (see Config.CacheEntries).
 	CacheRefused int64 `json:"cache_refused"`
-	// CacheGeneration is the cache's current generation stamp —
-	// incremented on every calibration-refresh swap.
-	CacheGeneration uint64 `json:"cache_generation"`
 	// Speculated counts idle-window speculative pre-climb steps
 	// executed (Config.Speculate; 0 with speculation off).
 	Speculated int64 `json:"speculated"`

@@ -17,9 +17,8 @@ func (s *Server) CachePeek(k cache.Key) (*cache.Entry, bool) {
 
 // WarmInstall offers an entry transferred from a peer replica to the
 // local cache and reports whether it was stored — the import half of
-// affinity-aware warming. The entry enters under the LOCAL current
-// generation (peer generations are meaningless here: the transfer is
-// fresh evidence under this server's model) and competes under the
+// affinity-aware warming. Replicas serve the same frozen model, so a
+// peer's walk is as valid here as a local one; it competes under the
 // normal widest-rung-wins and LRU rules, so warming can never evict
 // hotter local work with narrower remote walks. It skips the
 // admission doorkeeper (cache.Cache.Admit): a peer only transfers a
